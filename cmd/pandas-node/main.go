@@ -1,8 +1,8 @@
 // Command pandas-node runs a real PANDAS participant over UDP. Multiple
 // processes (on one machine or a LAN) form a deployment: every process
-// gets the same peers file (one host:port per line; the LAST entry is
-// the builder) and its own index. The process with -builder seeds a blob
-// each slot; the others custody, consolidate, and sample it.
+// gets the same peers file (one host:port per line) and its own index.
+// The process at the LAST index is the builder and seeds a blob each
+// slot; the others custody, consolidate, and sample it.
 //
 // Example, a four-node deployment plus builder in five shells:
 //
@@ -10,7 +10,7 @@
 //	pandas-node -peers peers.txt -index 1
 //	pandas-node -peers peers.txt -index 2
 //	pandas-node -peers peers.txt -index 3
-//	pandas-node -peers peers.txt -index 4 -builder -slots 3
+//	pandas-node -peers peers.txt -index 4 -slots 3
 //
 // For a self-contained single-process demo, see examples/localnet.
 package main
@@ -36,7 +36,6 @@ import (
 	"pandas/internal/blob"
 	"pandas/internal/core"
 	"pandas/internal/gateway"
-	"pandas/internal/ids"
 	"pandas/internal/kzg"
 	"pandas/internal/obsv"
 	"pandas/internal/swarm"
@@ -56,7 +55,6 @@ func run(args []string) error {
 	var (
 		peersFile = fs.String("peers", "", "file listing host:port per participant; last entry is the builder")
 		index     = fs.Int("index", -1, "this process's index into the peers file")
-		builder   = fs.Bool("builder", false, "act as the builder (must be the last index)")
 		slots     = fs.Int("slots", 1, "number of slots the builder drives")
 		seed      = fs.Int64("seed", 42, "shared deployment seed (must match on all processes)")
 		k         = fs.Int("k", 8, "base matrix size K (extended is 2K x 2K)")
@@ -98,9 +96,6 @@ func run(args []string) error {
 	cfg.Assign = assign.Params{Rows: *custody, Cols: *custody, N: cfg.Blob.N()}
 	cfg.Samples = *samples
 	cfg.RealPayloads = true
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 
 	var reg *obsv.Registry
 	if *metrics != "" {
@@ -121,15 +116,9 @@ func run(args []string) error {
 		fmt.Printf("metrics exposition at http://%s/metrics\n", *metrics)
 	}
 
-	// Deterministic shared identities: every process derives the same
-	// table from the seed, mirroring an ENR crawl that has converged.
-	nodeIDs := make([]ids.NodeID, nNodes)
-	for i := range nodeIDs {
-		nodeIDs[i] = ids.NewTestIdentity(*seed<<16 + int64(i)).ID
-	}
-	var epochSeed assign.Seed
-	epochSeed[0] = byte(*seed)
-	table, err := core.NewTable(cfg.Assign, epochSeed, nodeIDs)
+	// Every process derives the same deployment from the seed, mirroring
+	// an ENR crawl that has converged.
+	d, err := core.NewDeployment(cfg, nNodes, *seed)
 	if err != nil {
 		return err
 	}
@@ -143,8 +132,6 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("pandas-node %d listening on %s (%d peers)\n", *index, ep.Addr(), len(addrs))
-
-	proposer := ids.NewTestIdentity(*seed<<16 + 999)
 
 	// Graceful drain: on SIGINT/SIGTERM stop cleanly — close the
 	// transport (deferred above), flush a final metrics snapshot, and
@@ -160,18 +147,9 @@ func run(args []string) error {
 		}
 	}
 
-	if *builder {
-		b := core.NewBuilder(cfg, *index, ids.NewTestIdentity(*seed<<16+int64(nNodes)+3).ID, table, ep, *seed+5)
-		b.SetProposerSigner(func(slot uint64) [wire.SigSize]byte {
-			var sig [wire.SigSize]byte
-			copy(sig[:], proposer.Sign(wire.SeedSigningBytes(slot, ids.NewTestIdentity(*seed<<16+int64(nNodes)+3).ID)))
-			return sig
-		})
-		data := make([]byte, cfg.Blob.BlobBytes())
-		for i := range data {
-			data[i] = byte(i*131 + 7)
-		}
-		if err := b.PrepareBlob(data); err != nil {
+	if *index == nNodes {
+		b, err := d.Builder(ep)
+		if err != nil {
 			return err
 		}
 		ep.Start(func(from, size int, payload any) {})
@@ -209,8 +187,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	node := core.NewNode(cfg, *index, table, ep, *seed^int64(*index*7919))
-	node.SetSeedVerification(proposer.Public)
+	node := d.Node(*index, ep)
 	ep.Start(func(from, size int, payload any) {
 		node.HandleMessage(from, size, payload)
 	})
@@ -224,7 +201,7 @@ func run(args []string) error {
 	// The machine-parseable readiness probe: supervisors wait for this
 	// line before driving traffic at the process.
 	fmt.Printf("ready index=%d addr=%s custody=%v samples=%d\n",
-		*index, ep.Addr(), table.Assignment(*index).Lines(), cfg.Samples)
+		*index, ep.Addr(), d.Table.Assignment(*index).Lines(), cfg.Samples)
 
 	// Optional sampling-as-a-service frontend: light clients query
 	// (slot, row, col) over HTTP; the gateway coalesces and caches so

@@ -35,4 +35,9 @@ func TestRunValidatesFlags(t *testing.T) {
 	if err := run([]string{"-peers", path, "-index", "5"}); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
+	// The role follows from the index (the last peer builds); there is
+	// no -builder flag.
+	if err := run([]string{"-peers", path, "-index", "0", "-builder"}); err == nil {
+		t.Fatal("-builder flag accepted")
+	}
 }

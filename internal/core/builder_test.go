@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -209,60 +210,79 @@ func TestBuilderRestrictedView(t *testing.T) {
 	}
 }
 
+// referencePrepare is the single-goroutine oracle for the builder's
+// prepare path: extend with one worker, digest every row after the
+// extension, commit, and prove on one goroutine.
+func referencePrepare(t *testing.T, p blob.Params, data []byte) (kzg.Commitment, []kzg.Proof) {
+	t.Helper()
+	ext, err := blob.ExtendData(p, data, blob.ExtendOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := p.N()
+	cm := kzg.NewCommitter(n)
+	for r := 0; r < n; r++ {
+		cm.HashRow(r, ext.RowBytes(r), p.CellBytes)
+	}
+	root := cm.Root()
+	proofs := make([]kzg.Proof, n*n)
+	cm.ProveAll(root, proofs, 1, nil)
+	return root, proofs
+}
+
 // TestBuilderPipelinedMatchesMonolithic pins the streaming
-// PrepareAndSeed path against the monolithic prepare-then-seed path:
-// identical commitment, identical proof arena, bit-identical seed
-// datagrams (recipients, sizes, order, payloads, proofs), and an equal
-// report — across prover worker counts and a second slot that reuses
-// every arena.
+// PrepareAndSeed path against a single-goroutine reference prepare
+// (identical commitment and proof arena) and against a twin builder
+// running PrepareBlob + SeedSlot (bit-identical seed datagrams —
+// recipients, sizes, order, payloads, proofs — and an equal report),
+// across GOMAXPROCS settings and a second slot that reuses every arena.
 func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 	cfg := TestConfig()
 	cfg.RealPayloads = true
 	cfg.Policy = PolicySingle
 	data := make([]byte, cfg.Blob.BlobBytes())
 	rand.New(rand.NewSource(42)).Read(data)
+	wantRoot, wantProofs := referencePrepare(t, cfg.Blob, data)
 
-	for _, workers := range []int{1, 2, 8} {
-		// Both builders are rebuilt per worker count so their rngs start
-		// from the same state (seeding consumes rng as it plans).
-		seqCfg := cfg
-		seqCfg.SequentialPrepare = true
-		want, _, wantTr := builderFixture(t, seqCfg, 80)
-		pipeCfg := cfg
-		pipeCfg.ProveWorkers = workers
-		got, _, gotTr := builderFixture(t, pipeCfg, 80)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		// Both builders are rebuilt per setting so their rngs start from
+		// the same state (seeding consumes rng as it plans).
+		want, _, wantTr := builderFixture(t, cfg, 80)
+		got, _, gotTr := builderFixture(t, cfg, 80)
 		for slot := uint64(1); slot <= 2; slot++ { // slot 2 reuses arenas
 			wantTr.sends = nil
 			gotTr.sends = nil
-			wantReport, err := want.PrepareAndSeed(slot, data)
-			if err != nil {
+			if err := want.PrepareBlob(data); err != nil {
 				t.Fatal(err)
 			}
+			wantReport := want.SeedSlot(slot)
 			gotReport, err := got.PrepareAndSeed(slot, data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Commitment() != want.Commitment() {
-				t.Fatalf("workers=%d slot=%d: commitments differ", workers, slot)
+			if got.Commitment() != wantRoot {
+				t.Fatalf("procs=%d slot=%d: commitment differs from reference", procs, slot)
 			}
-			if !reflect.DeepEqual(got.proofs, want.proofs) {
-				t.Fatalf("workers=%d slot=%d: proof arenas differ", workers, slot)
+			if !reflect.DeepEqual(got.proofs, wantProofs) {
+				t.Fatalf("procs=%d slot=%d: proof arena differs from reference", procs, slot)
 			}
 			if gotReport != wantReport {
-				t.Fatalf("workers=%d slot=%d: reports differ:\n got %+v\nwant %+v",
-					workers, slot, gotReport, wantReport)
+				t.Fatalf("procs=%d slot=%d: reports differ:\n got %+v\nwant %+v",
+					procs, slot, gotReport, wantReport)
 			}
 			if len(gotTr.sends) != len(wantTr.sends) {
-				t.Fatalf("workers=%d slot=%d: %d sends, want %d",
-					workers, slot, len(gotTr.sends), len(wantTr.sends))
+				t.Fatalf("procs=%d slot=%d: %d sends, want %d",
+					procs, slot, len(gotTr.sends), len(wantTr.sends))
 			}
 			for i := range gotTr.sends {
 				g, w := gotTr.sends[i], wantTr.sends[i]
 				if g.to != w.to || g.size != w.size || g.reliable != w.reliable {
-					t.Fatalf("workers=%d slot=%d send %d: envelope differs", workers, slot, i)
+					t.Fatalf("procs=%d slot=%d send %d: envelope differs", procs, slot, i)
 				}
 				if !reflect.DeepEqual(g.payload, w.payload) {
-					t.Fatalf("workers=%d slot=%d send %d: datagram differs", workers, slot, i)
+					t.Fatalf("procs=%d slot=%d send %d: datagram differs", procs, slot, i)
 				}
 			}
 		}

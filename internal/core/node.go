@@ -391,8 +391,12 @@ func (n *Node) onSeed(m *wire.Seed) {
 		}
 		if peer == n.index {
 			// Our own parcels: the builder is sending these cells to us.
-			for pos := int(e.Start); pos < int(e.Start)+int(e.Count); pos++ {
-				n.promised[cellOnLine(e.Line, pos)] = true
+			// Once the seed flow is done (late or duplicate chunk) nothing
+			// is in flight any more, so there is nothing to promise.
+			if !n.seedDone {
+				for pos := int(e.Start); pos < int(e.Start)+int(e.Count); pos++ {
+					n.promised[cellOnLine(e.Line, pos)] = true
+				}
 			}
 			continue
 		}

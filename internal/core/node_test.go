@@ -90,6 +90,38 @@ func TestNodeIncompleteBatchPipelinesAndWatchdogExpiresPromises(t *testing.T) {
 	}
 }
 
+// ownParcelSeed returns a seed chunk whose boost map promises the node
+// its own parcel on its first custody line.
+func ownParcelSeed(node *Node, table *Table, slot uint64, index, count uint16) *wire.Seed {
+	l := table.Assignment(node.Index()).Lines()[0]
+	return &wire.Seed{
+		Slot: slot, ChunkIndex: index, ChunkCount: count,
+		Boost: []wire.BoostEntry{{Line: l, HolderRef: uint16(table.HolderRank(l, node.Index())), Start: 0, Count: 4}},
+	}
+}
+
+// TestNodeOwnParcelChunkAfterSeedDone: a seed chunk promising the node
+// its own parcels that lands after the seed flow ended must not record
+// promises (it used to write to the released promise map and panic).
+// With two chunks the first one's watchdog ends the flow before the
+// second lands; with one chunk the batch completes and the same datagram
+// arrives again, as UDP may duplicate it.
+func TestNodeOwnParcelChunkAfterSeedDone(t *testing.T) {
+	for _, chunks := range []uint16{2, 1} {
+		node, table, tr, cfg := nodeFixture(t, 60)
+		node.StartSlot(1)
+		node.HandleMessage(99, 100, ownParcelSeed(node, table, 1, 0, chunks))
+		tr.advance(cfg.SeedWait + time.Millisecond)
+		if !node.seedDone {
+			t.Fatalf("chunks=%d: seed flow not done", chunks)
+		}
+		node.HandleMessage(99, 100, ownParcelSeed(node, table, 1, chunks-1, chunks))
+		if len(node.promised) > 0 {
+			t.Fatalf("chunks=%d: late chunk recorded promises", chunks)
+		}
+	}
+}
+
 func TestNodeIgnoresWrongSlot(t *testing.T) {
 	node, table, tr, cfg := nodeFixture(t, 60)
 	node.StartSlot(2)

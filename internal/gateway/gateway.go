@@ -347,14 +347,7 @@ func (g *Gateway) Query(ctx context.Context, client int, slot uint64, id blob.Ce
 	}
 	key := Key{Slot: slot, ID: id}
 	if c, ok := g.cache.Get(key); ok {
-		g.hits.Add(1)
-		if g.mHits != nil {
-			g.mHits.Inc()
-		}
-		g.emit(obsv.Event{Kind: obsv.KindGatewayCacheHit, Peer: int32(client), Slot: slot})
-		if g.mLatency != nil {
-			g.mLatency.Observe(time.Since(t0).Seconds())
-		}
+		g.cacheHit(client, slot, t0)
 		return c, nil
 	}
 	if g.cfg.VerifyProofs {
@@ -371,6 +364,15 @@ func (g *Gateway) Query(ctx context.Context, client int, slot uint64, id blob.Ce
 
 	f, created, waiters := g.co.join(key)
 	if created {
+		// The flight for this key may have completed between the cache
+		// miss above and the join. runFetch caches a cell before it
+		// completes the flight, so look again instead of fetching the
+		// same cell twice.
+		if c, ok := g.cache.Get(key); ok {
+			g.co.complete(key, c, nil)
+			g.cacheHit(client, slot, t0)
+			return c, nil
+		}
 		select {
 		case g.tasks <- key:
 		default:
@@ -410,6 +412,18 @@ func (g *Gateway) Query(ctx context.Context, client int, slot uint64, id blob.Ce
 		// Shutdown racing this query: a flight created after Close's
 		// sweep would otherwise never resolve.
 		return wire.Cell{}, ErrClosed
+	}
+}
+
+// cacheHit counts a query served from the cache.
+func (g *Gateway) cacheHit(client int, slot uint64, t0 time.Time) {
+	g.hits.Add(1)
+	if g.mHits != nil {
+		g.mHits.Inc()
+	}
+	g.emit(obsv.Event{Kind: obsv.KindGatewayCacheHit, Peer: int32(client), Slot: slot})
+	if g.mLatency != nil {
+		g.mLatency.Observe(time.Since(t0).Seconds())
 	}
 }
 

@@ -9,12 +9,9 @@ import (
 // extended matrix has K=256 data shards extended to 512, with 512 B
 // cells.
 const (
-	benchK16    = 256
-	benchN16    = 512
-	benchShard  = 512
-	benchGF8K   = 128
-	benchGF8N   = 256
-	benchGF8Srd = 512
+	benchK16   = 256
+	benchN16   = 512
+	benchShard = 512
 )
 
 func benchShards16(b *testing.B, c *Codec16, size int) [][]byte {
@@ -127,29 +124,6 @@ func benchReconstruct16(b *testing.B, shift bool) {
 			shards[pos] = master[pos]
 		}
 		if err := c.Reconstruct(shards); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEncode8 measures the GF(2^8) codec at its maximum geometry
-// (128 -> 256 shards of 512 B).
-func BenchmarkEncode8(b *testing.B) {
-	c, err := New(benchGF8K, benchGF8N)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	shards := make([][]byte, benchGF8N)
-	for i := 0; i < benchGF8K; i++ {
-		shards[i] = make([]byte, benchGF8Srd)
-		rng.Read(shards[i])
-	}
-	b.SetBytes(int64(benchGF8K * benchGF8Srd))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Encode(shards); err != nil {
 			b.Fatal(err)
 		}
 	}

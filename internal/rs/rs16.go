@@ -1,13 +1,37 @@
+// Package rs implements a systematic Reed-Solomon erasure code over
+// GF(2^16).
+//
+// A Codec16 splits data into k shards and produces n-k parity shards such
+// that the original data can be reconstructed from ANY k of the n shards.
+// PANDAS uses rate-1/2 codes (n = 2k) per row and per column of the blob
+// matrix: each 256-cell row extends to 512 cells and survives the loss of
+// any half of them, which is past the 256-shard cap of GF(2^8).
+//
+// The construction is the classic systematic Vandermonde code: an n-by-k
+// Vandermonde matrix is normalized (multiplied by the inverse of its top
+// k-by-k block) so the first k rows form the identity. Encoding is then a
+// matrix-vector product per 16-bit word; decoding gathers any k surviving
+// rows of the encode matrix, inverts, and re-multiplies.
 package rs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"pandas/internal/gf65536"
+)
+
+// Errors returned by the codec.
+var (
+	ErrInvalidParams = errors.New("rs: invalid codec parameters")
+	ErrTooFewShards  = errors.New("rs: not enough shards to reconstruct")
+	ErrShardSize     = errors.New("rs: shards have inconsistent sizes")
+	ErrShardCount    = errors.New("rs: wrong number of shards")
+	ErrSingular      = errors.New("rs: matrix is singular")
 )
 
 // MaxShards16 caps the total shard count of a Codec16 (distinct GF(2^16)

@@ -17,10 +17,35 @@ func mustCodec16(t testing.TB, k, n int) *Codec16 {
 	return c
 }
 
+func randShards(rng *rand.Rand, k, n, size int) [][]byte {
+	shards := make([][]byte, n)
+	for i := 0; i < k; i++ {
+		shards[i] = make([]byte, size)
+		rng.Read(shards[i])
+	}
+	return shards
+}
+
 func TestNew16RejectsBadParams(t *testing.T) {
 	for _, c := range []struct{ k, n int }{{0, 4}, {4, 4}, {5, 4}, {1, 65537}} {
 		if _, err := New16(c.k, c.n); !errors.Is(err, ErrInvalidParams) {
 			t.Errorf("New16(%d,%d) err = %v", c.k, c.n, err)
+		}
+	}
+}
+
+// TestNewRejectsBadParams checks the parameter validation every codec
+// shares (k >= 1, n > k), and that shard counts above 256 — which a
+// GF(2^8) code cannot address — are accepted.
+func TestNewRejectsBadParams(t *testing.T) {
+	for _, c := range []struct{ k, n int }{{0, 4}, {-1, 4}, {4, 4}, {5, 4}} {
+		if _, err := New16(c.k, c.n); !errors.Is(err, ErrInvalidParams) {
+			t.Errorf("New16(%d, %d) err = %v, want ErrInvalidParams", c.k, c.n, err)
+		}
+	}
+	for _, c := range []struct{ k, n int }{{1, 257}, {200, 300}} {
+		if _, err := New16(c.k, c.n); err != nil {
+			t.Errorf("New16(%d, %d) err = %v, want nil", c.k, c.n, err)
 		}
 	}
 }
@@ -47,11 +72,61 @@ func TestCodec16Systematic(t *testing.T) {
 	}
 }
 
+func TestReconstructNoopWhenComplete(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := mustCodec16(t, 3, 6)
+	shards := randShards(rng, 3, 6, 16)
+	if err := c.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]byte, len(shards))
+	for i := range shards {
+		before[i] = append([]byte(nil), shards[i]...)
+	}
+	if err := c.Reconstruct(shards); err != nil {
+		t.Fatal(err)
+	}
+	for i := range shards {
+		if !bytes.Equal(before[i], shards[i]) {
+			t.Fatalf("Reconstruct modified complete shard %d", i)
+		}
+	}
+}
+
 func TestCodec16RejectsOddShardSize(t *testing.T) {
 	c := mustCodec16(t, 2, 4)
 	shards := [][]byte{make([]byte, 7), make([]byte, 7), nil, nil}
 	if err := c.Encode(shards); !errors.Is(err, ErrShardSize) {
-		t.Fatalf("err = %v, want ErrShardSize", err)
+		t.Fatalf("Encode err = %v, want ErrShardSize", err)
+	}
+	if err := c.Reconstruct(shards); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("Reconstruct err = %v, want ErrShardSize", err)
+	}
+}
+
+func TestShardSizeMismatch(t *testing.T) {
+	c := mustCodec16(t, 2, 4)
+	shards := [][]byte{make([]byte, 8), make([]byte, 10), nil, nil}
+	if err := c.Encode(shards); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("Encode err = %v, want ErrShardSize", err)
+	}
+	if err := c.Reconstruct(shards); !errors.Is(err, ErrShardSize) {
+		t.Fatalf("Reconstruct err = %v, want ErrShardSize", err)
+	}
+}
+
+func TestWrongShardCount(t *testing.T) {
+	c := mustCodec16(t, 2, 4)
+	for _, shards := range [][][]byte{make([][]byte, 3), make([][]byte, 5)} {
+		if err := c.Encode(shards); !errors.Is(err, ErrShardCount) {
+			t.Errorf("%d shards: Encode err = %v, want ErrShardCount", len(shards), err)
+		}
+		if err := c.Reconstruct(shards); !errors.Is(err, ErrShardCount) {
+			t.Errorf("%d shards: Reconstruct err = %v, want ErrShardCount", len(shards), err)
+		}
+		if _, err := c.Verify(shards); !errors.Is(err, ErrShardCount) {
+			t.Errorf("%d shards: Verify err = %v, want ErrShardCount", len(shards), err)
+		}
 	}
 }
 

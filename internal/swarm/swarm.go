@@ -29,7 +29,6 @@ import (
 	"pandas/internal/assign"
 	"pandas/internal/blob"
 	"pandas/internal/core"
-	"pandas/internal/ids"
 	"pandas/internal/wire"
 )
 
@@ -105,47 +104,4 @@ func geometryFromWire(m *wire.WorkerConfig) Geometry {
 		SeedWait:   time.Duration(m.SeedWaitMs) * time.Millisecond,
 		Deadline:   time.Duration(m.DeadlineMs) * time.Millisecond,
 	}
-}
-
-// Deterministic shared identities: every worker derives the same table
-// from the deployment seed, mirroring an ENR crawl that has converged
-// (and matching cmd/pandas-node's static-peers mode, so a swarm node and
-// a hand-launched node agree on who is who).
-
-// DeriveNodeIDs returns the n participant identities for a seed.
-func DeriveNodeIDs(seed int64, n int) []ids.NodeID {
-	out := make([]ids.NodeID, n)
-	for i := range out {
-		out[i] = ids.NewTestIdentity(seed<<16 + int64(i)).ID
-	}
-	return out
-}
-
-// DeriveProposer returns the deployment's proposer identity.
-func DeriveProposer(seed int64) *ids.Identity {
-	return ids.NewTestIdentity(seed<<16 + 999)
-}
-
-// DeriveBuilderID returns the builder's identity for an n-node swarm.
-func DeriveBuilderID(seed int64, n int) ids.NodeID {
-	return ids.NewTestIdentity(seed<<16 + int64(n) + 3).ID
-}
-
-// NewTableFromSeed derives the shared assignment table for an n-node
-// deployment.
-func NewTableFromSeed(cfg core.Config, seed int64, n int) (*core.Table, error) {
-	var epochSeed assign.Seed
-	epochSeed[0] = byte(seed)
-	epochSeed[1] = byte(seed >> 8)
-	return core.NewTable(cfg.Assign, epochSeed, DeriveNodeIDs(seed, n))
-}
-
-// FillerBlob returns the deterministic layer-2 filler data builders
-// seed (the same pattern cmd/pandas-node uses).
-func FillerBlob(cfg core.Config) []byte {
-	data := make([]byte, cfg.Blob.BlobBytes())
-	for i := range data {
-		data[i] = byte(i*131 + 7)
-	}
-	return data
 }

@@ -187,31 +187,6 @@ func TestGeometryWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeriveIdentitiesMatchAcrossCalls(t *testing.T) {
-	a := DeriveNodeIDs(42, 8)
-	b := DeriveNodeIDs(42, 8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("node %d identity unstable", i)
-		}
-	}
-	if DeriveBuilderID(42, 8) == a[0] {
-		t.Fatal("builder identity collides with node 0")
-	}
-	g := DefaultGeometry()
-	cfg, err := g.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := NewTableFromSeed(cfg, 42, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumNodes() != 8 {
-		t.Fatalf("table size %d", tbl.NumNodes())
-	}
-}
-
 func TestRenderEmptyAndPercentile(t *testing.T) {
 	r := &Result{N: 4, Slots: 1, Geometry: DefaultGeometry()}
 	r.SlotResults = []SlotResult{{Slot: 1}}

@@ -216,29 +216,17 @@ func (w *worker) init(m *wire.WorkerConfig) error {
 		}
 	}
 
-	table, err := NewTableFromSeed(cfg, m.Seed, nNodes)
+	d, err := core.NewDeployment(cfg, nNodes, m.Seed)
 	if err != nil {
 		return err
 	}
-	proposer := DeriveProposer(m.Seed)
 	w.disc = newDiscovery(w.ep, w.o.Index, w.total)
-
-	if w.o.Index == nNodes { // builder
-		builderID := DeriveBuilderID(m.Seed, nNodes)
-		b := core.NewBuilder(cfg, w.o.Index, builderID, table, w.ep, m.Seed+5)
-		b.SetProposerSigner(func(slot uint64) [wire.SigSize]byte {
-			var sig [wire.SigSize]byte
-			copy(sig[:], proposer.Sign(wire.SeedSigningBytes(slot, builderID)))
-			return sig
-		})
-		if err := b.PrepareBlob(FillerBlob(cfg)); err != nil {
+	if w.o.Index == nNodes { // the last index is the builder
+		if w.builder, err = d.Builder(w.ep); err != nil {
 			return err
 		}
-		w.builder = b
 	} else {
-		n := core.NewNode(cfg, w.o.Index, table, w.ep, m.Seed^int64(w.o.Index*7919))
-		n.SetSeedVerification(proposer.Public)
-		w.node = n
+		w.node = d.Node(w.o.Index, w.ep)
 	}
 
 	w.ep.SetUnknownSender(w.disc.handleUnknown)

@@ -1,13 +1,9 @@
 package transport
 
 import (
-	"fmt"
 	"time"
 
-	"pandas/internal/assign"
 	"pandas/internal/core"
-	"pandas/internal/ids"
-	"pandas/internal/wire"
 )
 
 // Localnet is a real-UDP PANDAS deployment on the loopback interface: N
@@ -22,32 +18,19 @@ type Localnet struct {
 	Builder *core.Builder
 
 	endpoints []*UDP // nodes 0..N-1, builder at index N
-	proposer  *ids.Identity
 }
 
 // NewLocalnet binds N node endpoints and one builder endpoint on
-// 127.0.0.1 and wires the protocol. Real payloads are used: the builder
-// must be given blob data via PrepareBlob before the first slot (done
-// here with deterministic filler).
+// 127.0.0.1 and wires the protocol from core.NewDeployment. Real payloads
+// are used: the deployment's builder prepares its deterministic filler
+// blob before the first slot.
 func NewLocalnet(cfg core.Config, n int, seed int64) (*Localnet, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	cfg.RealPayloads = true
-	ln := &Localnet{Cfg: cfg}
-
-	nodeIDs := make([]ids.NodeID, n)
-	for i := range nodeIDs {
-		nodeIDs[i] = ids.NewTestIdentity(seed<<16 + int64(i)).ID
-	}
-	var epochSeed assign.Seed
-	epochSeed[0] = byte(seed)
-	epochSeed[1] = byte(seed >> 8)
-	table, err := core.NewTable(cfg.Assign, epochSeed, nodeIDs)
+	d, err := core.NewDeployment(cfg, n, seed)
 	if err != nil {
 		return nil, err
 	}
-	ln.Table = table
+	ln := &Localnet{Cfg: cfg, Table: d.Table}
 
 	// Bind all endpoints first so every peer table is complete.
 	addrs := make([]string, n+1)
@@ -67,43 +50,19 @@ func NewLocalnet(cfg core.Config, n int, seed int64) (*Localnet, error) {
 		}
 	}
 
-	proposer, err := ids.NewIdentity()
-	if err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("transport: proposer identity: %w", err)
-	}
-	ln.proposer = proposer
-
-	// Nodes.
 	for i := 0; i < n; i++ {
-		node := core.NewNode(cfg, i, table, ln.endpoints[i], seed^int64(i*7919))
-		node.SetSeedVerification(proposer.Public)
+		node := d.Node(i, ln.endpoints[i])
 		ln.Nodes = append(ln.Nodes, node)
 		ln.endpoints[i].Start(func(from, size int, payload any) {
 			node.HandleMessage(from, size, payload)
 		})
 	}
-
-	// Builder.
-	builderID := ids.NewTestIdentity(seed<<16 + int64(n) + 3).ID
-	builder := core.NewBuilder(cfg, n, builderID, table, ln.endpoints[n], seed+5)
-	builder.SetProposerSigner(func(slot uint64) [wire.SigSize]byte {
-		var sig [wire.SigSize]byte
-		copy(sig[:], proposer.Sign(wire.SeedSigningBytes(slot, builderID)))
-		return sig
-	})
-	ln.Builder = builder
-	ln.endpoints[n].Start(func(from, size int, payload any) {})
-
-	// Real data plane: load deterministic filler layer-2 data.
-	data := make([]byte, cfg.Blob.BlobBytes())
-	for i := range data {
-		data[i] = byte(i*2654435761 + 17)
-	}
-	if err := builder.PrepareBlob(data); err != nil {
+	ln.Builder, err = d.Builder(ln.endpoints[n])
+	if err != nil {
 		ln.Close()
 		return nil, err
 	}
+	ln.endpoints[n].Start(func(from, size int, payload any) {})
 	return ln, nil
 }
 

@@ -22,6 +22,11 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+# slotbench is a nested module that ./... skips; vet and test it so an
+# internal API change that breaks the benchmark fails here.
+echo "== slotbench: go vet + go test"
+(cd slotbench && go vet . && go test .)
+
 echo "== go test -race (membership, core, fetch, blob, rs, gf65536, kzg, obsv, transport, wire, adversary, gateway, simnet, swarm)"
 go test -race ./internal/membership ./internal/core ./internal/fetch \
 	./internal/blob ./internal/rs ./internal/gf65536 ./internal/kzg \
