@@ -101,21 +101,7 @@ func run(args []string) error {
 	if *metrics != "" {
 		reg = obsv.NewRegistry()
 		cfg.Metrics = reg
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := reg.Snapshot().WritePrometheus(w); err != nil {
-				fmt.Fprintln(os.Stderr, "pandas-node: metrics write:", err)
-			}
-		})
-		go func() {
-			if err := http.ListenAndServe(*metrics, mux); err != nil {
-				fmt.Fprintln(os.Stderr, "pandas-node: metrics server:", err)
-			}
-		}()
-		fmt.Printf("metrics exposition at http://%s/metrics\n", *metrics)
 	}
-
 	// Every process derives the same deployment from the seed, mirroring
 	// an ENR crawl that has converged.
 	d, err := core.NewDeployment(cfg, nNodes, *seed)
@@ -131,6 +117,28 @@ func run(args []string) error {
 	if err := ep.SetPeers(addrs); err != nil {
 		return err
 	}
+	// snapshot is the registry's metrics plus the endpoint's drop
+	// counters.
+	snapshot := func() obsv.Snapshot {
+		snap := reg.Snapshot()
+		ep.Stats().AddTo(snap.Counters)
+		return snap
+	}
+	if reg != nil {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			if err := snapshot().WritePrometheus(w); err != nil {
+				fmt.Fprintln(os.Stderr, "pandas-node: metrics write:", err)
+			}
+		})
+		go func() {
+			if err := http.ListenAndServe(*metrics, mux); err != nil {
+				fmt.Fprintln(os.Stderr, "pandas-node: metrics server:", err)
+			}
+		}()
+		fmt.Printf("metrics exposition at http://%s/metrics\n", *metrics)
+	}
 	fmt.Printf("pandas-node %d listening on %s (%d peers)\n", *index, ep.Addr(), len(addrs))
 
 	// Graceful drain: on SIGINT/SIGTERM stop cleanly — close the
@@ -143,7 +151,7 @@ func run(args []string) error {
 	drain := func(sig os.Signal) {
 		fmt.Printf("pandas-node %d: draining on %v\n", *index, sig)
 		if reg != nil {
-			_ = reg.Snapshot().WritePrometheus(os.Stderr)
+			_ = snapshot().WritePrometheus(os.Stderr)
 		}
 	}
 
@@ -156,8 +164,13 @@ func run(args []string) error {
 		for s := uint64(1); s <= uint64(*slots); s++ {
 			s := s
 			done := make(chan struct{})
+			var seedErr error
 			ep.Run(func() {
-				report := b.SeedSlot(s)
+				defer close(done)
+				var report core.SeedingReport
+				if report, seedErr = b.PrepareAndSeed(s, d.Filler()); seedErr != nil {
+					return
+				}
 				fmt.Printf("slot %d: seeded %d cells in %d messages (%d KB) to %d nodes\n",
 					s, report.Cells, report.Messages, report.Bytes/1024, report.NodesSeeded)
 				if reg != nil {
@@ -166,9 +179,11 @@ func run(args []string) error {
 					reg.Counter("builder_seed_bytes_total").Add(int64(report.Bytes))
 					reg.Gauge("builder_slot").Set(int64(s))
 				}
-				close(done)
 			})
 			<-done
+			if seedErr != nil {
+				return seedErr
+			}
 			if s < uint64(*slots) {
 				select {
 				case <-time.After(*slotGap):

@@ -289,9 +289,12 @@ func (e *Extended) Cell(id CellID) []byte {
 // RowBytes returns the contiguous byte span of row r (n cells of
 // CellBytes each), aliasing internal storage. Row-wise consumers
 // (hashing, seeding) should prefer this over n Cell calls.
-func (e *Extended) RowBytes(r int) []byte {
+func (e *Extended) RowBytes(r int) []byte { return e.RowsBytes(r, r+1) }
+
+// RowsBytes returns the contiguous byte span of rows lo..hi-1.
+func (e *Extended) RowsBytes(lo, hi int) []byte {
 	span := e.n * e.params.CellBytes
-	return e.backing[r*span : (r+1)*span]
+	return e.backing[lo*span : hi*span]
 }
 
 // Line returns the payloads of all cells along the given row or column.

@@ -113,18 +113,31 @@ func (b *Builder) PrepareBlob(data []byte) error {
 	return nil
 }
 
-// PrepareAndSeed is the streaming form of PrepareBlob + SeedSlot: row
-// digesting overlaps the column-phase encode (via the extension's
-// row-phase hook), proof generation runs concurrently with seed-plan
-// construction, and each seed datagram is transmitted as soon as the
-// proofs of the rows it carries are ready — the builder starts pushing
-// cells into the network while the prover is still working through the
-// matrix. Output is bit-identical to PrepareBlob followed by SeedSlot
-// (same commitment, proofs, datagrams, and report; pinned by test).
-// Transport callbacks fire from the calling goroutine only, as with
-// SeedSlot.
+// PrepareAndSeed is the streaming form of PrepareBlob + SeedSlot. The
+// seed plan is built on its own goroutine while the blob is extended and
+// committed: planning reads only the table, the view, the withholding
+// predicate, the signer and the builder's rng, none of which extension
+// touches, so its rng draws and schedule are unchanged. Row digesting
+// overlaps the column-phase encode (via the extension's row-phase hook),
+// proof generation runs concurrently with transmission, and each seed
+// datagram is transmitted as soon as the proofs of the rows it carries
+// are ready — the builder starts pushing cells into the network while
+// the prover is still working through the matrix. Output is
+// bit-identical to PrepareBlob followed by SeedSlot (same commitment,
+// proofs, datagrams, and report; pinned by test). Transport callbacks
+// fire from the calling goroutine only, as with SeedSlot.
 func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error) {
+	var (
+		plan    seedPlan
+		report  SeedingReport
+		planned = make(chan struct{})
+	)
+	go func() {
+		defer close(planned)
+		plan, report = b.planSeed(slot)
+	}()
 	if err := b.extendAndCommit(data); err != nil {
+		<-planned
 		return SeedingReport{}, err
 	}
 	n := b.cfg.Blob.N()
@@ -138,7 +151,8 @@ func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error
 	// The prover must be joined even if transmission ends early (crash
 	// budgets): the builder's arenas are reused next slot.
 	defer proving.Wait()
-	plan, report := b.planSeed(slot)
+	<-planned
+	b.recordWithheld(slot, report)
 	b.transmit(slot, plan, &report, tr)
 	return report, nil
 }
@@ -147,7 +161,8 @@ func (b *Builder) PrepareAndSeed(slot uint64, data []byte) (SeedingReport, error
 // accumulates the commitment, leaving the committer's cell digests ready
 // for proving and b.proofs sized. The top half of the matrix (rows
 // 0..K-1: data and row parity, final after the row phase) is digested
-// concurrently with the column-phase encode.
+// concurrently with the column-phase encode; the bottom half is digested
+// across GOMAXPROCS workers once the extension returns.
 func (b *Builder) extendAndCommit(data []byte) error {
 	p := b.cfg.Blob
 	n := p.N()
@@ -160,18 +175,14 @@ func (b *Builder) extendAndCommit(data []byte) error {
 	ext, err := blob.ExtendData(p, data, blob.ExtendOptions{
 		Reuse: b.extended,
 		OnRowPhase: func(e *blob.Extended) {
-			for r := 0; r < p.K; r++ {
-				cm.HashRow(r, e.RowBytes(r), p.CellBytes)
-			}
+			cm.HashRows(0, e.RowsBytes(0, p.K), p.CellBytes, 1)
 		},
 	})
 	if err != nil {
 		return fmt.Errorf("core: builder extend: %w", err)
 	}
 	b.extended = ext
-	for r := p.K; r < n; r++ {
-		cm.HashRow(r, ext.RowBytes(r), p.CellBytes)
-	}
+	cm.HashRows(p.K, ext.RowsBytes(p.K, n), p.CellBytes, runtime.GOMAXPROCS(0))
 	b.commitment = cm.Root()
 	if cap(b.proofs) < n*n {
 		b.proofs = make([]kzg.Proof, n*n)
@@ -248,6 +259,7 @@ func (b *Builder) cellPayload(id blob.CellID) wire.Cell {
 // with consolidation-boost maps, and transmits them.
 func (b *Builder) SeedSlot(slot uint64) SeedingReport {
 	plan, report := b.planSeed(slot)
+	b.recordWithheld(slot, report)
 	b.transmit(slot, plan, &report, nil)
 	return report
 }
@@ -285,7 +297,8 @@ type seedPlan struct {
 // planSeed runs the deciding half of SeedSlot: per-cell line choice,
 // parcel assignment, boost maps, and datagram chunking, in a fixed rng
 // order shared by the monolithic and pipelined paths (their schedules
-// are bit-identical). It touches no cell payloads or proofs.
+// are bit-identical). It touches no cell payloads or proofs and makes no
+// transport or recorder calls, so it may run off the caller's goroutine.
 func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 	report := SeedingReport{Policy: b.cfg.Policy}
 	n := b.cfg.Blob.N()
@@ -518,13 +531,6 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		}
 		plan.nodes = append(plan.nodes, nc)
 	}
-	// Withholding is decided by now; trace it so timelines can correlate
-	// sampling failures with the attack that caused them.
-	if report.Withheld > 0 && b.rec != nil {
-		b.rec.Record(obsv.Event{At: b.tr.Now(), Slot: slot,
-			Kind: obsv.KindWithheldCell, Node: int32(b.index), Peer: -1,
-			Count: int32(report.Withheld), Aux: int64(n * n)})
-	}
 	// A crashing builder stops after a fraction of its datagram budget.
 	if b.crashAfter > 0 && b.crashAfter < 1 {
 		total := 0
@@ -534,6 +540,18 @@ func (b *Builder) planSeed(slot uint64) (seedPlan, SeedingReport) {
 		plan.sendBudget = int(b.crashAfter * float64(total))
 	}
 	return plan, report
+}
+
+// recordWithheld traces a plan's withholding so timelines can correlate
+// sampling failures with the attack that caused them. It runs on the
+// caller's goroutine (planSeed may not), like every transport callback.
+func (b *Builder) recordWithheld(slot uint64, report SeedingReport) {
+	if report.Withheld > 0 && b.rec != nil {
+		n := b.cfg.Blob.N()
+		b.rec.Record(obsv.Event{At: b.tr.Now(), Slot: slot,
+			Kind: obsv.KindWithheldCell, Node: int32(b.index), Peer: -1,
+			Count: int32(report.Withheld), Aux: int64(n * n)})
+	}
 }
 
 // transmit sends a planned slot's datagrams round-robin across nodes

@@ -236,6 +236,8 @@ func referencePrepare(t *testing.T, p blob.Params, data []byte) (kzg.Commitment,
 // running PrepareBlob + SeedSlot (bit-identical seed datagrams —
 // recipients, sizes, order, payloads, proofs — and an equal report),
 // across GOMAXPROCS settings and a second slot that reuses every arena.
+// The withholding case checks that the plan, built concurrently with the
+// extension, carries its withheld count back to the report.
 func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 	cfg := TestConfig()
 	cfg.RealPayloads = true
@@ -243,46 +245,62 @@ func TestBuilderPipelinedMatchesMonolithic(t *testing.T) {
 	data := make([]byte, cfg.Blob.BlobBytes())
 	rand.New(rand.NewSource(42)).Read(data)
 	wantRoot, wantProofs := referencePrepare(t, cfg.Blob, data)
+	n := cfg.Blob.N()
+	withheld := make([]bool, n*n)
+	wrng := rand.New(rand.NewSource(43))
+	for i := range withheld {
+		withheld[i] = wrng.Intn(10) == 0
+	}
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 8} {
-		runtime.GOMAXPROCS(procs)
-		// Both builders are rebuilt per setting so their rngs start from
-		// the same state (seeding consumes rng as it plans).
-		want, _, wantTr := builderFixture(t, cfg, 80)
-		got, _, gotTr := builderFixture(t, cfg, 80)
-		for slot := uint64(1); slot <= 2; slot++ { // slot 2 reuses arenas
-			wantTr.sends = nil
-			gotTr.sends = nil
-			if err := want.PrepareBlob(data); err != nil {
-				t.Fatal(err)
-			}
-			wantReport := want.SeedSlot(slot)
-			gotReport, err := got.PrepareAndSeed(slot, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Commitment() != wantRoot {
-				t.Fatalf("procs=%d slot=%d: commitment differs from reference", procs, slot)
-			}
-			if !reflect.DeepEqual(got.proofs, wantProofs) {
-				t.Fatalf("procs=%d slot=%d: proof arena differs from reference", procs, slot)
-			}
-			if gotReport != wantReport {
-				t.Fatalf("procs=%d slot=%d: reports differ:\n got %+v\nwant %+v",
-					procs, slot, gotReport, wantReport)
-			}
-			if len(gotTr.sends) != len(wantTr.sends) {
-				t.Fatalf("procs=%d slot=%d: %d sends, want %d",
-					procs, slot, len(gotTr.sends), len(wantTr.sends))
-			}
-			for i := range gotTr.sends {
-				g, w := gotTr.sends[i], wantTr.sends[i]
-				if g.to != w.to || g.size != w.size || g.reliable != w.reliable {
-					t.Fatalf("procs=%d slot=%d send %d: envelope differs", procs, slot, i)
+	for _, withhold := range []func(blob.CellID) bool{
+		nil,
+		func(id blob.CellID) bool { return withheld[id.Index(n)] },
+	} {
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			// Both builders are rebuilt per setting so their rngs start from
+			// the same state (seeding consumes rng as it plans).
+			want, _, wantTr := builderFixture(t, cfg, 80)
+			got, _, gotTr := builderFixture(t, cfg, 80)
+			want.SetWithholding(withhold)
+			got.SetWithholding(withhold)
+			for slot := uint64(1); slot <= 2; slot++ { // slot 2 reuses arenas
+				wantTr.sends = nil
+				gotTr.sends = nil
+				if err := want.PrepareBlob(data); err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(g.payload, w.payload) {
-					t.Fatalf("procs=%d slot=%d send %d: datagram differs", procs, slot, i)
+				wantReport := want.SeedSlot(slot)
+				gotReport, err := got.PrepareAndSeed(slot, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Commitment() != wantRoot {
+					t.Fatalf("procs=%d slot=%d: commitment differs from reference", procs, slot)
+				}
+				if !reflect.DeepEqual(got.proofs, wantProofs) {
+					t.Fatalf("procs=%d slot=%d: proof arena differs from reference", procs, slot)
+				}
+				if gotReport != wantReport {
+					t.Fatalf("procs=%d slot=%d: reports differ:\n got %+v\nwant %+v",
+						procs, slot, gotReport, wantReport)
+				}
+				if (withhold != nil) != (gotReport.Withheld > 0) {
+					t.Fatalf("procs=%d slot=%d: withheld %d cells", procs, slot, gotReport.Withheld)
+				}
+				if len(gotTr.sends) != len(wantTr.sends) {
+					t.Fatalf("procs=%d slot=%d: %d sends, want %d",
+						procs, slot, len(gotTr.sends), len(wantTr.sends))
+				}
+				for i := range gotTr.sends {
+					g, w := gotTr.sends[i], wantTr.sends[i]
+					if g.to != w.to || g.size != w.size || g.reliable != w.reliable {
+						t.Fatalf("procs=%d slot=%d send %d: envelope differs", procs, slot, i)
+					}
+					if !reflect.DeepEqual(g.payload, w.payload) {
+						t.Fatalf("procs=%d slot=%d send %d: datagram differs", procs, slot, i)
+					}
 				}
 			}
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"pandas/internal/assign"
 	"pandas/internal/ids"
 	"pandas/internal/wire"
@@ -21,6 +23,9 @@ type Deployment struct {
 	seed      int64
 	proposer  *ids.Identity
 	builderID ids.NodeID
+
+	fillerOnce sync.Once
+	filler     []byte
 }
 
 // NewDeployment derives the shared deployment state for n nodes.
@@ -64,12 +69,21 @@ func (d *Deployment) Builder(tr Transport) (*Builder, error) {
 		copy(sig[:], d.proposer.Sign(wire.SeedSigningBytes(slot, d.builderID)))
 		return sig
 	})
-	data := make([]byte, d.cfg.Blob.BlobBytes())
-	for i := range data {
-		data[i] = byte(i*131 + 7)
-	}
-	if err := b.PrepareBlob(data); err != nil {
+	if err := b.PrepareBlob(d.Filler()); err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// Filler returns the deployment's deterministic blob, byte i = i*131+7.
+// Builders prepare it per slot with PrepareAndSeed. It is computed once
+// and shared: callers must not modify it.
+func (d *Deployment) Filler() []byte {
+	d.fillerOnce.Do(func() {
+		d.filler = make([]byte, d.cfg.Blob.BlobBytes())
+		for i := range d.filler {
+			d.filler[i] = byte(i*131 + 7)
+		}
+	})
+	return d.filler
 }

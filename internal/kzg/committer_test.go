@@ -1,6 +1,10 @@
 package kzg
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -113,5 +117,47 @@ func BenchmarkCommitterSlot(b *testing.B) {
 		cm.Reset(n)
 		hashAllRows(cm, e)
 		cm.ProveAll(cm.Root(), out, 1, nil)
+	}
+}
+
+// TestHashRowsMatchesHashRow pins the parallel multi-row hashing path
+// against row-by-row HashRow calls: identical cell digests, row digests
+// and Root for every worker count, at a small and the paper's matrix
+// width, hashing the upper rows in one call as the builder does.
+func TestHashRowsMatchesHashRow(t *testing.T) {
+	const cellBytes = 16
+	for _, n := range []int{32, 512} {
+		matrix := make([]byte, n*n*cellBytes)
+		rand.New(rand.NewSource(int64(n))).Read(matrix)
+		span := n * cellBytes
+		want := NewCommitter(n)
+		for r := 0; r < n; r++ {
+			want.HashRow(r, matrix[r*span:(r+1)*span], cellBytes)
+		}
+		// An independent check of one cell digest's definition.
+		r, c := n-1, n/2
+		var hdr [5]byte
+		hdr[0] = domainCell
+		binary.BigEndian.PutUint16(hdr[1:3], uint16(r))
+		binary.BigEndian.PutUint16(hdr[3:5], uint16(c))
+		cell := matrix[r*span+c*cellBytes : r*span+(c+1)*cellBytes]
+		if want.digests[r*n+c] != sha256.Sum256(append(hdr[:], cell...)) {
+			t.Fatalf("n=%d: HashRow cell digest differs from its definition", n)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got := NewCommitter(n)
+			half := n / 2
+			got.HashRows(0, matrix[:half*span], cellBytes, 1)
+			got.HashRows(half, matrix[half*span:], cellBytes, workers)
+			if !reflect.DeepEqual(got.digests, want.digests) {
+				t.Fatalf("n=%d workers=%d: cell digests differ", n, workers)
+			}
+			if !reflect.DeepEqual(got.rows, want.rows) {
+				t.Fatalf("n=%d workers=%d: row digests differ", n, workers)
+			}
+			if got.Root() != want.Root() {
+				t.Fatalf("n=%d workers=%d: Root differs", n, workers)
+			}
+		}
 	}
 }

@@ -75,17 +75,25 @@ type Proof [ProofSize]byte
 // commitment and all proofs from them, hashing each payload byte exactly
 // once. All arenas are retained across Reset, so a builder reusing one
 // Committer per slot commits and proves with zero steady-state
-// allocation. HashRow/Root are not safe for concurrent use (feed rows
-// from one goroutine at a time); ProveAll runs its own worker pool over
-// the finished digest arena.
+// allocation. HashRows/HashRow/Root are not safe for concurrent use (one
+// caller at a time; HashRows runs its own worker pool); ProveAll runs
+// its own worker pool over the finished digest arena.
 type Committer struct {
 	n       int
 	digests [][32]byte // n*n cell digests, row-major
 	rows    [][32]byte // n row digests
 	fold    [][32]byte // Merkle scratch (Root must not consume rows)
+	h       hash.Hash  // Merkle fold state for Root
+	hashers []*rowHasher
+}
+
+// rowHasher is one HashRows worker's private hashing state: the
+// row-digest SHA-256 state and the header||payload staging buffer for
+// one-shot cell digests.
+type rowHasher struct {
 	h       hash.Hash
-	hdr     [8]byte // staged header bytes (see scratch.buf)
-	cellBuf []byte  // header||payload staging for one-shot cell digests
+	hdr     [8]byte
+	cellBuf []byte
 }
 
 // NewCommitter returns a Committer sized for an n x n extended matrix.
@@ -117,17 +125,63 @@ func (cm *Committer) N() int { return cm.n }
 // HashRow digests row r from its contiguous byte span (n cells of
 // cellBytes each, as returned by blob.Extended.RowBytes): n cell
 // digests into the arena, then the row digest over them. Each row must
-// be hashed exactly once per Reset before Root or ProveAll.
+// be hashed exactly once per Reset before Root or ProveAll. It is the
+// one-row, one-worker case of HashRows.
 func (cm *Committer) HashRow(r int, row []byte, cellBytes int) {
+	cm.HashRows(r, row, cellBytes, 1)
+}
+
+// HashRows digests the consecutive rows lo, lo+1, ... whose contiguous
+// byte span is rows (a whole number of n-cell rows, as returned by
+// blob.Extended.RowsBytes), spreading them over up to workers
+// goroutines (values <= 1 run inline on the caller). Each worker owns a
+// rowHasher retained across Reset, so steady-state hashing allocates
+// nothing beyond the worker goroutines. Rows are independent, so the
+// digests are identical for every worker count.
+func (cm *Committer) HashRows(lo int, rows []byte, cellBytes, workers int) {
+	span := cm.n * cellBytes
+	count := len(rows) / span
+	workers = max(1, min(workers, count))
+	for len(cm.hashers) < workers {
+		cm.hashers = append(cm.hashers, &rowHasher{h: sha256.New()})
+	}
+	if workers == 1 {
+		for i := 0; i < count; i++ {
+			cm.hashers[0].hashRow(cm, lo+i, rows[i*span:(i+1)*span], cellBytes)
+		}
+		return
+	}
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(rh *rowHasher) {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= count {
+					return
+				}
+				rh.hashRow(cm, lo+i, rows[i*span:(i+1)*span], cellBytes)
+			}
+		}(cm.hashers[w])
+	}
+	wg.Wait()
+}
+
+// hashRow writes row r's n cell digests and its row digest into cm's
+// arenas. Cell digests go through the one-shot Sum256 over a staged
+// header||payload buffer: the copy is L1-resident and cheaper than the
+// streaming hash.Hash interface's per-cell Reset/Sum state churn.
+func (rh *rowHasher) hashRow(cm *Committer, r int, row []byte, cellBytes int) {
 	n := cm.n
 	d := cm.digests[r*n : (r+1)*n]
-	// Cell digests go through the one-shot Sum256 over a staged
-	// header||payload buffer: the copy is L1-resident and cheaper than
-	// the streaming hash.Hash interface's per-cell Reset/Sum state churn.
-	if cap(cm.cellBuf) < 5+cellBytes {
-		cm.cellBuf = make([]byte, 5+cellBytes)
+	if cap(rh.cellBuf) < 5+cellBytes {
+		rh.cellBuf = make([]byte, 5+cellBytes)
 	}
-	buf := cm.cellBuf[:5+cellBytes]
+	buf := rh.cellBuf[:5+cellBytes]
 	buf[0] = domainCell
 	binary.BigEndian.PutUint16(buf[1:3], uint16(r))
 	for c := 0; c < n; c++ {
@@ -135,14 +189,14 @@ func (cm *Committer) HashRow(r int, row []byte, cellBytes int) {
 		copy(buf[5:], row[c*cellBytes:(c+1)*cellBytes])
 		d[c] = sha256.Sum256(buf)
 	}
-	cm.hdr[0] = domainRow
-	binary.BigEndian.PutUint32(cm.hdr[1:5], uint32(r))
-	cm.h.Reset()
-	cm.h.Write(cm.hdr[:5])
+	rh.hdr[0] = domainRow
+	binary.BigEndian.PutUint32(rh.hdr[1:5], uint32(r))
+	rh.h.Reset()
+	rh.h.Write(rh.hdr[:5])
 	for c := range d {
-		cm.h.Write(d[c][:])
+		rh.h.Write(d[c][:])
 	}
-	cm.h.Sum(cm.rows[r][:0])
+	rh.h.Sum(cm.rows[r][:0])
 }
 
 // Root returns the commitment: a binary Merkle root over the row
@@ -219,9 +273,7 @@ func Commit(e *blob.Extended) Commitment {
 	n := e.N()
 	cb := e.Params().CellBytes
 	cm := NewCommitter(n)
-	for r := 0; r < n; r++ {
-		cm.HashRow(r, e.RowBytes(r), cb)
-	}
+	cm.HashRows(0, e.RowsBytes(0, n), cb, 1)
 	return cm.Root()
 }
 

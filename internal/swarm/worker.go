@@ -46,6 +46,7 @@ type worker struct {
 
 	node    *core.Node
 	builder *core.Builder
+	deploy  *core.Deployment // the builder's per-slot blob source
 	reg     *obsv.Registry
 
 	total       int // nodes + builder
@@ -108,7 +109,7 @@ func RunWorker(o WorkerOptions) error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, _ *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = w.reg.Snapshot().WritePrometheus(rw)
+		_ = w.snapshot().WritePrometheus(rw)
 	})
 	go func() { _ = http.Serve(mln, mux) }()
 	w.reg.Counter("worker_restarts_total").Add(int64(o.Restarts))
@@ -142,7 +143,7 @@ func RunWorker(o WorkerOptions) error {
 			// metrics snapshot to the log, exit cleanly.
 			fmt.Fprintf(w.log, "worker %d: draining on %v\n", o.Index, sig)
 			close(w.stop)
-			_ = w.reg.Snapshot().WritePrometheus(w.log)
+			_ = w.snapshot().WritePrometheus(w.log)
 			return nil
 		case s := <-w.starts:
 			if s <= lastSlot {
@@ -176,6 +177,14 @@ func (w *worker) onConfig(m *wire.WorkerConfig) {
 			_ = w.ep.AddPeer(int(e.Index), e.Addr)
 		}
 	}
+}
+
+// snapshot is the worker's metrics plus its data endpoint's drop
+// counters.
+func (w *worker) snapshot() obsv.Snapshot {
+	snap := w.reg.Snapshot()
+	w.ep.Stats().AddTo(snap.Counters)
+	return snap
 }
 
 func (w *worker) helloMsg() *wire.Hello {
@@ -225,6 +234,7 @@ func (w *worker) init(m *wire.WorkerConfig) error {
 		if w.builder, err = d.Builder(w.ep); err != nil {
 			return err
 		}
+		w.deploy = d
 	} else {
 		w.node = d.Node(w.o.Index, w.ep)
 	}
@@ -300,7 +310,11 @@ func (w *worker) runSlot(slot uint64) {
 	w.curSlot.Store(slot)
 	if w.builder != nil {
 		w.ep.Run(func() {
-			rep := w.builder.SeedSlot(slot)
+			rep, err := w.builder.PrepareAndSeed(slot, w.deploy.Filler())
+			if err != nil {
+				fmt.Fprintf(w.log, "worker %d: slot %d: %v\n", w.o.Index, slot, err)
+				return
+			}
 			fmt.Fprintf(w.log, "worker %d: slot %d seeded %d cells in %d msgs\n",
 				w.o.Index, slot, rep.Cells, rep.Messages)
 			w.reg.Counter("builder_seed_cells_total").Add(int64(rep.Cells))

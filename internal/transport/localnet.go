@@ -17,20 +17,21 @@ type Localnet struct {
 	Nodes   []*core.Node
 	Builder *core.Builder
 
-	endpoints []*UDP // nodes 0..N-1, builder at index N
+	deployment *core.Deployment
+	endpoints  []*UDP // nodes 0..N-1, builder at index N
 }
 
 // NewLocalnet binds N node endpoints and one builder endpoint on
 // 127.0.0.1 and wires the protocol from core.NewDeployment. Real payloads
-// are used: the deployment's builder prepares its deterministic filler
-// blob before the first slot.
+// are used: the builder prepares the deployment's deterministic filler
+// blob afresh every slot.
 func NewLocalnet(cfg core.Config, n int, seed int64) (*Localnet, error) {
 	cfg.RealPayloads = true
 	d, err := core.NewDeployment(cfg, n, seed)
 	if err != nil {
 		return nil, err
 	}
-	ln := &Localnet{Cfg: cfg, Table: d.Table}
+	ln := &Localnet{Cfg: cfg, Table: d.Table, deployment: d}
 
 	// Bind all endpoints first so every peer table is complete.
 	addrs := make([]string, n+1)
@@ -66,10 +67,10 @@ func NewLocalnet(cfg core.Config, n int, seed int64) (*Localnet, error) {
 	return ln, nil
 }
 
-// RunSlot starts a slot on every node, triggers seeding, and waits (real
-// time) until all nodes finish sampling or the timeout expires. It
-// returns per-node sampling durations measured from the seeding trigger
-// (negative = did not finish).
+// RunSlot starts a slot on every node, has the builder prepare and seed
+// the slot's blob, and waits (real time) until all nodes finish sampling
+// or the timeout expires. It returns per-node sampling durations
+// measured from the seeding trigger (negative = did not finish).
 func (ln *Localnet) RunSlot(slot uint64, timeout time.Duration) ([]time.Duration, error) {
 	type ack struct{}
 	started := make(chan ack, len(ln.Nodes))
@@ -85,13 +86,15 @@ func (ln *Localnet) RunSlot(slot uint64, timeout time.Duration) ([]time.Duration
 	}
 
 	begin := time.Now()
-	seeded := make(chan ack, 1)
+	seeded := make(chan error, 1)
 	bIdx := len(ln.Nodes)
 	ln.endpoints[bIdx].Run(func() {
-		ln.Builder.SeedSlot(slot)
-		seeded <- ack{}
+		_, err := ln.Builder.PrepareAndSeed(slot, ln.deployment.Filler())
+		seeded <- err
 	})
-	<-seeded
+	if err := <-seeded; err != nil {
+		return nil, err
+	}
 
 	deadline := time.After(timeout)
 	ticker := time.NewTicker(20 * time.Millisecond)

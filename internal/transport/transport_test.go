@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -311,4 +312,132 @@ func TestUnknownSenderHandler(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("unknown-sender datagram never surfaced")
 	}
+}
+
+// udpPair binds two started endpoints that know each other; b's
+// handler receives a's messages.
+func udpPair(t *testing.T, handler func(from, size int, payload any)) (a, b *UDP) {
+	t.Helper()
+	var err error
+	if a, err = NewUDP(0, "127.0.0.1:0", 64); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
+	if b, err = NewUDP(1, "127.0.0.1:0", 64); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = b.Close() })
+	addrs := []string{a.Addr(), b.Addr()}
+	for _, u := range []*UDP{a, b} {
+		if err := u.SetPeers(addrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Start(func(from, size int, payload any) {})
+	b.Start(handler)
+	return a, b
+}
+
+// waitStat polls an endpoint's drop counters until pick reports want.
+func waitStat(t *testing.T, u *UDP, name string, pick func(Stats) uint64, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for pick(u.Stats()) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d (stats %+v)", name, pick(u.Stats()), want, u.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestUDPDelayedSendKeepsPayload delays the first datagram while the
+// following ones reuse the pooled encode buffers: every payload must
+// still arrive intact.
+func TestUDPDelayedSendKeepsPayload(t *testing.T) {
+	const sends = 20
+	got := make(chan *wire.Response, sends)
+	a, _ := udpPair(t, func(from, size int, payload any) {
+		if r, ok := payload.(*wire.Response); ok {
+			got <- r
+		}
+	})
+	a.SetLinkPolicy(func(to int, data []byte) (bool, time.Duration) {
+		if data[8] == 1 { // slot 1's datagram goes out last
+			return false, 100 * time.Millisecond
+		}
+		return false, 0
+	})
+	want := make(map[uint64][]byte)
+	for slot := uint64(1); slot <= sends; slot++ {
+		payload := bytes.Repeat([]byte{byte(slot)}, 64)
+		want[slot] = payload
+		m := &wire.Response{Slot: slot, Cells: []wire.Cell{{ID: blob.CellID{Row: uint16(slot)}, Data: payload}}}
+		a.Send(1, m.WireSize(64), m)
+	}
+	for i := 0; i < sends; i++ {
+		select {
+		case r := <-got:
+			if i == sends-1 && r.Slot != 1 {
+				t.Fatalf("last arrival is slot %d, want the delayed slot 1", r.Slot)
+			}
+			if len(r.Cells) != 1 || r.Cells[0].ID.Row != uint16(r.Slot) || !bytes.Equal(r.Cells[0].Data, want[r.Slot]) {
+				t.Fatalf("slot %d arrived corrupted: %+v", r.Slot, r.Cells)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d datagrams arrived", i, sends)
+		}
+	}
+}
+
+// TestUDPCountsDecodeErrors sends a garbage datagram from a registered
+// peer's socket.
+func TestUDPCountsDecodeErrors(t *testing.T) {
+	a, b := udpPair(t, func(from, size int, payload any) {})
+	if _, err := a.conn.WriteToUDP([]byte{0xFF, 1, 2}, b.conn.LocalAddr().(*net.UDPAddr)); err != nil {
+		t.Fatal(err)
+	}
+	waitStat(t, b, "DecodeErrors", func(s Stats) uint64 { return s.DecodeErrors }, 1)
+	counters := map[string]int64{}
+	b.Stats().AddTo(counters)
+	if counters["transport_decode_errors_total"] != 1 || len(counters) != 4 {
+		t.Fatalf("exported counters %v", counters)
+	}
+}
+
+// TestUDPCountsUnknownSenders sends a valid datagram from a socket that
+// is not in the peer table, with no discovery handler installed.
+func TestUDPCountsUnknownSenders(t *testing.T) {
+	_, b := udpPair(t, func(from, size int, payload any) {})
+	stranger, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stranger.Close()
+	data, err := wire.Encode(&wire.Query{Slot: 1}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stranger.WriteToUDP(data, b.conn.LocalAddr().(*net.UDPAddr)); err != nil {
+		t.Fatal(err)
+	}
+	waitStat(t, b, "UnknownSenders", func(s Stats) uint64 { return s.UnknownSenders }, 1)
+}
+
+// TestUDPCountsEncodeErrors sends a message too large for one datagram.
+func TestUDPCountsEncodeErrors(t *testing.T) {
+	a, _ := udpPair(t, func(from, size int, payload any) {})
+	m := &wire.Query{Cells: make([]blob.CellID, wire.MaxDatagram/4)}
+	a.Send(1, m.WireSize(64), m)
+	waitStat(t, a, "EncodeErrors", func(s Stats) uint64 { return s.EncodeErrors }, 1)
+}
+
+// TestUDPCountsSendErrors sends to a peer with no address and through a
+// closed socket.
+func TestUDPCountsSendErrors(t *testing.T) {
+	a, _ := udpPair(t, func(from, size int, payload any) {})
+	q := &wire.Query{Slot: 1}
+	a.Send(7, q.WireSize(64), q) // outside the peer table
+	_ = a.Close()
+	a.Send(1, q.WireSize(64), q)
+	waitStat(t, a, "SendErrors", func(s Stats) uint64 { return s.SendErrors }, 2)
 }

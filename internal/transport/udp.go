@@ -16,6 +16,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -67,6 +68,9 @@ type UDP struct {
 	// linkPolicy is a test hook interposed on outgoing datagrams to
 	// inject loss and reordering; nil sends directly.
 	linkPolicy atomic.Pointer[func(to int, data []byte) (drop bool, delay time.Duration)]
+
+	// Drop counters (see Stats).
+	sendErrors, encodeErrors, decodeErrors, unknownSenders atomic.Uint64
 
 	mu      sync.Mutex // serializes Close and peer-table writers
 	closed  bool
@@ -227,7 +231,10 @@ func (u *UDP) SetUnknownSender(h func(raddr *net.UDPAddr, size int, payload any)
 
 // SetLinkPolicy interposes a test hook on every outgoing datagram: drop
 // suppresses it, a positive delay defers the socket write (out-of-order
-// delivery). A nil policy restores direct sends.
+// delivery). A nil policy restores direct sends. data is a pooled encode
+// buffer that is reused as soon as the send returns: the policy may read
+// it only during the call and must not retain it (a delayed send writes
+// a private copy).
 func (u *UDP) SetLinkPolicy(p func(to int, data []byte) (drop bool, delay time.Duration)) {
 	if p == nil {
 		u.linkPolicy.Store(nil)
@@ -287,13 +294,15 @@ func (u *UDP) receiveLoop() {
 		if !known {
 			hp := u.unknown.Load()
 			if hp == nil {
-				continue // unknown sender, no discovery plane
+				u.unknownSenders.Add(1) // no discovery plane to serve it
+				continue
 			}
 			unknownH = *hp
 		}
 		msg, err := wire.Decode(buf[:n], u.cellBytes)
 		if err != nil {
-			continue // malformed datagram
+			u.decodeErrors.Add(1)
+			continue
 		}
 		size := n + wire.OverheadIPUDP
 		u.Run(func() {
@@ -308,48 +317,94 @@ func (u *UDP) receiveLoop() {
 	}
 }
 
+// sendBufs recycles encode buffers sized for the largest datagram, so a
+// steady stream of sends encodes without allocating.
+var sendBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 64<<10)
+	return &b
+}}
+
 // Send implements core.Transport: encode and transmit one datagram.
-// Errors (unknown peer, encode failure) are dropped silently, matching
-// UDP's fire-and-forget semantics.
+// Nothing is returned to the caller, matching UDP's fire-and-forget
+// semantics; every datagram that cannot be sent is counted in Stats.
 func (u *UDP) Send(to int, size int, payload any) {
 	t := u.table.Load()
 	if t == nil || to < 0 || to >= len(t.addrs) || t.addrs[to] == nil {
+		u.sendErrors.Add(1)
 		return
 	}
+	u.encodeAndWrite(payload, t.addrs[to], to)
+}
+
+// SendToAddr transmits a message directly to a UDP address that need not
+// be in the peer table (discovery replies to not-yet-registered peers).
+// Link policies do not apply.
+func (u *UDP) SendToAddr(addr *net.UDPAddr, payload any) {
+	u.encodeAndWrite(payload, addr, -1)
+}
+
+// encodeAndWrite encodes payload into a pooled buffer and writes it to
+// addr, through the link policy when to >= 0.
+func (u *UDP) encodeAndWrite(payload any, addr *net.UDPAddr, to int) {
 	msg, ok := payload.(wire.Message)
 	if !ok {
+		u.encodeErrors.Add(1)
 		return
 	}
-	data, err := wire.Encode(msg, u.cellBytes)
+	bp := sendBufs.Get().(*[]byte)
+	defer sendBufs.Put(bp)
+	data, err := wire.AppendEncode((*bp)[:0], msg, u.cellBytes)
 	if err != nil {
+		u.encodeErrors.Add(1)
 		return
 	}
-	if pp := u.linkPolicy.Load(); pp != nil {
+	if pp := u.linkPolicy.Load(); pp != nil && to >= 0 {
 		drop, delay := (*pp)(to, data)
 		if drop {
 			return
 		}
 		if delay > 0 {
-			addr := t.addrs[to]
-			time.AfterFunc(delay, func() { _, _ = u.conn.WriteToUDP(data, addr) })
+			data = bytes.Clone(data) // the pooled buffer is reused on return
+			time.AfterFunc(delay, func() { u.write(data, addr) })
 			return
 		}
 	}
-	_, _ = u.conn.WriteToUDP(data, t.addrs[to])
+	u.write(data, addr)
 }
 
-// SendToAddr transmits a message directly to a UDP address that need not
-// be in the peer table (discovery replies to not-yet-registered peers).
-func (u *UDP) SendToAddr(addr *net.UDPAddr, payload any) {
-	msg, ok := payload.(wire.Message)
-	if !ok {
-		return
+func (u *UDP) write(data []byte, addr *net.UDPAddr) {
+	if _, err := u.conn.WriteToUDP(data, addr); err != nil {
+		u.sendErrors.Add(1)
 	}
-	data, err := wire.Encode(msg, u.cellBytes)
-	if err != nil {
-		return
+}
+
+// Stats counts the datagrams an endpoint dropped. Every field only
+// grows.
+type Stats struct {
+	SendErrors     uint64 // sends to a peer with no address, or failed socket writes
+	EncodeErrors   uint64 // payloads that are not wire messages or do not fit a datagram
+	DecodeErrors   uint64 // received datagrams the wire codec rejected
+	UnknownSenders uint64 // datagrams from senders outside the peer table with no SetUnknownSender handler
+}
+
+// AddTo adds the counters to a metrics snapshot's counter map under
+// their Prometheus names (transport_*_total).
+func (s Stats) AddTo(counters map[string]int64) {
+	counters["transport_send_errors_total"] = int64(s.SendErrors)
+	counters["transport_encode_errors_total"] = int64(s.EncodeErrors)
+	counters["transport_decode_errors_total"] = int64(s.DecodeErrors)
+	counters["transport_unknown_senders_total"] = int64(s.UnknownSenders)
+}
+
+// Stats returns a snapshot of the endpoint's drop counters. Safe for
+// concurrent use.
+func (u *UDP) Stats() Stats {
+	return Stats{
+		SendErrors:     u.sendErrors.Load(),
+		EncodeErrors:   u.encodeErrors.Load(),
+		DecodeErrors:   u.decodeErrors.Load(),
+		UnknownSenders: u.unknownSenders.Load(),
 	}
-	_, _ = u.conn.WriteToUDP(data, addr)
 }
 
 // SendReliable implements core.Transport. Real UDP offers no reliability

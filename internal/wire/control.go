@@ -22,6 +22,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Control/discovery message types (the protocol plane uses 1-3).
@@ -218,14 +219,15 @@ func appendPeerEntry(buf []byte, e PeerEntry) ([]byte, error) {
 	return appendAddr(buf, e.Addr)
 }
 
-// encodeControl serializes the swarm control/discovery messages. The
-// slot header slot field is 0 for messages without slot semantics.
-func encodeControl(m Message) ([]byte, error) {
+// appendControl appends the encoding of a swarm control/discovery
+// message to dst (returned unchanged on error). The slot header slot
+// field is 0 for messages without slot semantics.
+func appendControl(dst []byte, m Message) ([]byte, error) {
 	var buf []byte
 	var err error
 	switch v := m.(type) {
 	case *Hello:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(dst, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeHello))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
@@ -233,13 +235,13 @@ func encodeControl(m Message) ([]byte, error) {
 		buf = append(buf, boolByte(v.Ready))
 		buf = binary.BigEndian.AppendUint32(buf, v.Known)
 		if buf, err = appendAddr(buf, v.DataAddr); err != nil {
-			return nil, err
+			return dst, err
 		}
 		if buf, err = appendAddr(buf, v.MetricsAddr); err != nil {
-			return nil, err
+			return dst, err
 		}
 	case *WorkerConfig:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(dst, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeConfig))
 		buf = binary.BigEndian.AppendUint64(buf, 0)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
@@ -256,16 +258,16 @@ func encodeControl(m Message) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(v.Bootstrap)))
 		for _, e := range v.Bootstrap {
 			if buf, err = appendPeerEntry(buf, e); err != nil {
-				return nil, err
+				return dst, err
 			}
 		}
 	case *Start:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(dst, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeStart))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
 	case *Report:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(dst, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeReport))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
@@ -293,32 +295,32 @@ func encodeControl(m Message) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, v.CorruptRejects)
 		buf = binary.BigEndian.AppendUint32(buf, v.Restarts)
 	case *Ack:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(dst, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeAck))
 		buf = binary.BigEndian.AppendUint64(buf, 0)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
 	case *FindPeers:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(dst, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypeFindPeers))
 		buf = binary.BigEndian.AppendUint64(buf, 0)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
 		buf = binary.BigEndian.AppendUint32(buf, v.Index)
 		if buf, err = appendAddr(buf, v.Addr); err != nil {
-			return nil, err
+			return dst, err
 		}
 	case *Peers:
-		buf = make([]byte, 0, v.WireSize(0)-OverheadIPUDP)
+		buf = slices.Grow(dst, v.WireSize(0)-OverheadIPUDP)
 		buf = append(buf, byte(TypePeers))
 		buf = binary.BigEndian.AppendUint64(buf, 0)
 		buf = binary.BigEndian.AppendUint64(buf, v.Nonce)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(v.Entries)))
 		for _, e := range v.Entries {
 			if buf, err = appendPeerEntry(buf, e); err != nil {
-				return nil, err
+				return dst, err
 			}
 		}
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrBadType, m)
+		return dst, fmt.Errorf("%w: %T", ErrBadType, m)
 	}
 	return buf, nil
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pandas/internal/blob"
 	"pandas/internal/ids"
@@ -155,13 +156,34 @@ func (m *Response) WireSize(cellBytes int) int {
 	return OverheadIPUDP + 1 + 8 + 4 + len(m.Cells)*cellWire(cellBytes)
 }
 
-// Encode serializes a message for UDP transport. cellBytes fixes the cell
-// payload size (cells with nil Data are encoded as zero payloads).
+// MaxDatagram is the largest UDP payload an encoded message may occupy.
+const MaxDatagram = 65507
+
+// Encode serializes a message for UDP transport into a fresh buffer.
+// cellBytes fixes the cell payload size (cells with nil Data are encoded
+// as zero payloads).
 func Encode(m Message, cellBytes int) ([]byte, error) {
-	var buf []byte
+	return AppendEncode(nil, m, cellBytes)
+}
+
+// AppendEncode appends the encoding of m to dst and returns the extended
+// buffer; the appended bytes equal Encode's output. A sender that reuses
+// one buffer with room for MaxDatagram bytes encodes protocol messages
+// with no allocation. On error dst is returned unchanged.
+func AppendEncode(dst []byte, m Message, cellBytes int) ([]byte, error) {
+	switch m.(type) {
+	case *Seed, *Query, *Response:
+		// Protocol messages know their size up front: reject oversized
+		// ones before writing and reserve room once.
+		n := m.WireSize(cellBytes) - OverheadIPUDP
+		if n > MaxDatagram {
+			return dst, tooLarge(n)
+		}
+		dst = slices.Grow(dst, n)
+	}
+	buf := dst
 	switch v := m.(type) {
 	case *Seed:
-		buf = make([]byte, 0, v.WireSize(cellBytes))
 		buf = append(buf, byte(TypeSeed))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = append(buf, v.Builder[:]...)
@@ -169,10 +191,7 @@ func Encode(m Message, cellBytes int) ([]byte, error) {
 		buf = append(buf, v.Commitment[:]...)
 		buf = binary.BigEndian.AppendUint16(buf, v.ChunkIndex)
 		buf = binary.BigEndian.AppendUint16(buf, v.ChunkCount)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Cells)))
-		for _, c := range v.Cells {
-			buf = appendCell(buf, c, cellBytes)
-		}
+		buf = appendCells(buf, v.Cells, cellBytes)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Boost)))
 		for _, b := range v.Boost {
 			buf = append(buf, byte(b.Line.Kind))
@@ -182,7 +201,6 @@ func Encode(m Message, cellBytes int) ([]byte, error) {
 			buf = binary.BigEndian.AppendUint16(buf, b.Count)
 		}
 	case *Query:
-		buf = make([]byte, 0, v.WireSize(cellBytes))
 		buf = append(buf, byte(TypeQuery))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Cells)))
@@ -191,40 +209,45 @@ func Encode(m Message, cellBytes int) ([]byte, error) {
 			buf = binary.BigEndian.AppendUint16(buf, id.Col)
 		}
 	case *Response:
-		buf = make([]byte, 0, v.WireSize(cellBytes))
 		buf = append(buf, byte(TypeResponse))
 		buf = binary.BigEndian.AppendUint64(buf, v.Slot)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v.Cells)))
-		for _, c := range v.Cells {
-			buf = appendCell(buf, c, cellBytes)
-		}
+		buf = appendCells(buf, v.Cells, cellBytes)
 	default:
 		// Swarm control/discovery messages (see control.go).
-		cbuf, err := encodeControl(m)
-		if err != nil {
-			return nil, err
+		var err error
+		if buf, err = appendControl(dst, m); err != nil {
+			return dst, err
 		}
-		buf = cbuf
-	}
-	if len(buf) > 65507 { // max UDP payload
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(buf))
+		if n := len(buf) - len(dst); n > MaxDatagram {
+			return dst, tooLarge(n)
+		}
 	}
 	return buf, nil
 }
 
-func appendCell(buf []byte, c Cell, cellBytes int) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, c.ID.Row)
-	buf = binary.BigEndian.AppendUint16(buf, c.ID.Col)
-	if c.Data == nil {
-		buf = append(buf, make([]byte, cellBytes)...)
-	} else {
-		buf = append(buf, c.Data[:cellBytes]...)
+func tooLarge(n int) error { return fmt.Errorf("%w: %d bytes", ErrTooLarge, n) }
+
+// appendCells appends a cell count and the cells.
+func appendCells(buf []byte, cells []Cell, cellBytes int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(cells)))
+	for i := range cells {
+		c := &cells[i]
+		buf = binary.BigEndian.AppendUint16(buf, c.ID.Row)
+		buf = binary.BigEndian.AppendUint16(buf, c.ID.Col)
+		if c.Data == nil {
+			buf = append(buf, make([]byte, cellBytes)...)
+		} else {
+			buf = append(buf, c.Data[:cellBytes]...)
+		}
+		buf = append(buf, c.Proof[:]...)
 	}
-	buf = append(buf, c.Proof[:]...)
 	return buf
 }
 
-// Decode parses a datagram produced by Encode.
+// Decode parses a datagram produced by Encode. The cells of a Seed or
+// Response share one payload block per datagram: each Data is a
+// cap-limited window into it, so appending to one cell's Data never
+// overwrites its neighbour, and none of them aliases data.
 func Decode(data []byte, cellBytes int) (Message, error) {
 	if len(data) < 9 {
 		return nil, ErrTruncated
@@ -244,68 +267,45 @@ func Decode(data []byte, cellBytes int) (Message, error) {
 		m.ChunkIndex = binary.BigEndian.Uint16(r.buf[0:2])
 		m.ChunkCount = binary.BigEndian.Uint16(r.buf[2:4])
 		r.buf = r.buf[4:]
-		nCells, ok := r.uint32()
+		var ok bool
+		if m.Cells, ok = r.cells(cellBytes); !ok {
+			return nil, ErrTruncated
+		}
+		nBoost, ok := r.count(boostEntryWire)
 		if !ok {
 			return nil, ErrTruncated
 		}
-		m.Cells = make([]Cell, 0, min(int(nCells), 4096))
-		for i := 0; i < int(nCells); i++ {
-			c, ok := r.cell(cellBytes)
-			if !ok {
-				return nil, ErrTruncated
-			}
-			m.Cells = append(m.Cells, c)
-		}
-		nBoost, ok := r.uint32()
-		if !ok {
-			return nil, ErrTruncated
-		}
-		m.Boost = make([]BoostEntry, 0, min(int(nBoost), 65536))
-		for i := 0; i < int(nBoost); i++ {
-			if len(r.buf) < boostEntryWire {
-				return nil, ErrTruncated
-			}
-			var b BoostEntry
+		m.Boost = make([]BoostEntry, nBoost)
+		for i := range m.Boost {
+			b := &m.Boost[i]
 			b.Line.Kind = blob.LineKind(r.buf[0])
 			b.Line.Index = binary.BigEndian.Uint16(r.buf[1:3])
 			b.HolderRef = binary.BigEndian.Uint16(r.buf[3:5])
 			b.Start = binary.BigEndian.Uint16(r.buf[5:7])
 			b.Count = binary.BigEndian.Uint16(r.buf[7:9])
 			r.buf = r.buf[boostEntryWire:]
-			m.Boost = append(m.Boost, b)
 		}
 		return m, nil
 	case TypeQuery:
 		m := &Query{Slot: slot}
-		nCells, ok := r.uint32()
+		nCells, ok := r.count(4)
 		if !ok {
 			return nil, ErrTruncated
 		}
-		m.Cells = make([]blob.CellID, 0, min(int(nCells), 65536))
-		for i := 0; i < int(nCells); i++ {
-			if len(r.buf) < 4 {
-				return nil, ErrTruncated
-			}
-			m.Cells = append(m.Cells, blob.CellID{
+		m.Cells = make([]blob.CellID, nCells)
+		for i := range m.Cells {
+			m.Cells[i] = blob.CellID{
 				Row: binary.BigEndian.Uint16(r.buf[0:2]),
 				Col: binary.BigEndian.Uint16(r.buf[2:4]),
-			})
+			}
 			r.buf = r.buf[4:]
 		}
 		return m, nil
 	case TypeResponse:
 		m := &Response{Slot: slot}
-		nCells, ok := r.uint32()
-		if !ok {
+		var ok bool
+		if m.Cells, ok = r.cells(cellBytes); !ok {
 			return nil, ErrTruncated
-		}
-		m.Cells = make([]Cell, 0, min(int(nCells), 4096))
-		for i := 0; i < int(nCells); i++ {
-			c, ok := r.cell(cellBytes)
-			if !ok {
-				return nil, ErrTruncated
-			}
-			m.Cells = append(m.Cells, c)
 		}
 		return m, nil
 	default:
@@ -337,18 +337,38 @@ func (r *reader) uint32() (uint32, bool) {
 	return v, true
 }
 
-func (r *reader) cell(cellBytes int) (Cell, bool) {
-	need := 4 + cellBytes + kzg.ProofSize
-	if len(r.buf) < need {
-		return Cell{}, false
+// count reads a uint32 element count and checks that the remaining
+// bytes can carry that many elements of the given encoded size, so a
+// forged count is rejected before anything is sized from it.
+func (r *reader) count(elemBytes int) (int, bool) {
+	n, ok := r.uint32()
+	if !ok || uint64(n)*uint64(elemBytes) > uint64(len(r.buf)) {
+		return 0, false
 	}
-	var c Cell
-	c.ID.Row = binary.BigEndian.Uint16(r.buf[0:2])
-	c.ID.Col = binary.BigEndian.Uint16(r.buf[2:4])
-	c.Data = append([]byte(nil), r.buf[4:4+cellBytes]...)
-	copy(c.Proof[:], r.buf[4+cellBytes:need])
-	r.buf = r.buf[need:]
-	return c, true
+	return int(n), true
+}
+
+// cells reads a cell count and the cells into one []Cell, filled in
+// place, whose payloads share a single block copied out of the datagram.
+func (r *reader) cells(cellBytes int) ([]Cell, bool) {
+	need := 4 + cellBytes + kzg.ProofSize
+	n, ok := r.count(need)
+	if !ok || cellBytes < 0 {
+		return nil, false
+	}
+	cells := make([]Cell, n)
+	block := make([]byte, n*cellBytes)
+	for i := range cells {
+		c := &cells[i]
+		src := r.buf[i*need : (i+1)*need]
+		c.ID.Row = binary.BigEndian.Uint16(src[0:2])
+		c.ID.Col = binary.BigEndian.Uint16(src[2:4])
+		c.Data = block[i*cellBytes : (i+1)*cellBytes : (i+1)*cellBytes]
+		copy(c.Data, src[4:4+cellBytes])
+		copy(c.Proof[:], src[4+cellBytes:])
+	}
+	r.buf = r.buf[n*need:]
+	return cells, true
 }
 
 // SeedSigningBytes returns the canonical byte string the proposer signs to

@@ -258,3 +258,59 @@ END {
 }' "$SIM_RAW" > "$SIM_OUT"
 
 echo "wrote $SIM_OUT (simulator capacity gates passed)"
+
+# --- Wire codec --------------------------------------------------------
+# The UDP data plane encodes every datagram into a pooled buffer and
+# decodes each received datagram into one cell slice and one payload
+# block, so allocations per datagram are gated: encoding a paper-geometry
+# seed datagram into a reused buffer must allocate nothing, and decoding
+# one must take at most 3 allocations (message, cells, payload block).
+# Each benchmark runs 5 times for 1 s and the median is recorded.
+WIRE_OUT="BENCH_wire.json"
+WIRE_RAW="$(mktemp)"
+trap 'rm -f "$RAW" "$OBSV_RAW" "$GW_RAW" "$SIM_RAW" "$WIRE_RAW"' EXIT
+
+echo "== wire benchmarks (gates: AppendEncodeSeed 0 allocs/op, DecodeSeed <= 3 allocs/op; median of 5 x 1s)"
+go test -run '^$' -bench 'BenchmarkAppendEncodeSeed|BenchmarkDecodeSeed' -benchmem \
+	-benchtime 1s -count 5 ./internal/wire | tee "$WIRE_RAW"
+
+awk '
+function median(list,    v, k, i, j, t) {
+	k = split(list, v, " ")
+	for (i = 2; i <= k; i++)
+		for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+	return v[int((k + 1) / 2)]
+}
+BEGIN { fail = 0; n = 0 }
+/^Benchmark/ {
+	name = $1
+	sub(/-[0-9]+$/, "", name)
+	if (!(name in ns)) order[n++] = name
+	for (i = 2; i < NF; i++) {
+		if ($(i+1) == "ns/op") ns[name] = ns[name] " " $i
+		if ($(i+1) == "MB/s") mbs[name] = mbs[name] " " $i
+		if ($(i+1) == "allocs/op") allocs[name] = allocs[name] " " $i
+	}
+}
+END {
+	printf "{\n  \"method\": \"median of -count 5 at -benchtime 1s\",\n"
+	printf "  \"gate\": {\"BenchmarkAppendEncodeSeed_max_allocs_per_op\": 0, \"BenchmarkDecodeSeed_max_allocs_per_op\": 3},\n"
+	printf "  \"benchmarks\": {\n"
+	for (i = 0; i < n; i++) {
+		name = order[i]
+		a = median(allocs[name])
+		printf "    \"%s\": {\"ns_per_op\": %s, \"mb_per_s\": %s, \"allocs_per_op\": %s}%s\n",
+			name, median(ns[name]), median(mbs[name]), a, (i < n-1 ? "," : "")
+		if (name == "BenchmarkAppendEncodeSeed" && a + 0 > 0) {
+			printf "GATE FAIL: %s %s allocs/op > 0\n", name, a > "/dev/stderr"; fail = 1
+		}
+		if (name == "BenchmarkDecodeSeed" && a + 0 > 3) {
+			printf "GATE FAIL: %s %s allocs/op > 3\n", name, a > "/dev/stderr"; fail = 1
+		}
+	}
+	printf "  }\n}\n"
+	if (n < 2) { print "GATE FAIL: wire benchmarks missing" > "/dev/stderr"; fail = 1 }
+	exit fail
+}' "$WIRE_RAW" > "$WIRE_OUT"
+
+echo "wrote $WIRE_OUT (wire allocation gates passed)"
